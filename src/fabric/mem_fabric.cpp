@@ -238,6 +238,13 @@ struct MemFabric::Connection {
     std::deque<PostedRecv> recvs;
     std::deque<PostedRecv> ud_recvs;
   };
+  /// Both directions' queues. An empty deque still holds heap memory, so
+  /// they are allocated on first use and freed once both sides are closed
+  /// (a closed QP never queues work again).
+  struct Queues {
+    Direction a_to_b;
+    Direction b_to_a;
+  };
 
   Connection(MemFabric& fabric, QpId qp_a, QpId qp_b, NodeId a, NodeId b)
       : fabric(fabric),
@@ -248,7 +255,13 @@ struct MemFabric::Connection {
     return node == side_a.self_ ? &side_a : &side_b;
   }
   Direction& direction_from(NodeId node) RDMC_REQUIRES(mutex) {
-    return node == side_a.self_ ? a_to_b : b_to_a;
+    if (!queues) queues = std::make_unique<Queues>();
+    return node == side_a.self_ ? queues->a_to_b : queues->b_to_a;
+  }
+
+  /// Free the queues once neither side can post again.
+  void release_if_closed() RDMC_REQUIRES(mutex) {
+    if (side_a.closed_ && side_b.closed_) queues.reset();
   }
 
   /// Match queued sends in `dir` (from `src`) against receives posted by
@@ -379,10 +392,13 @@ struct MemFabric::Connection {
       RDMC_REQUIRES(mutex) {
     MemQueuePair* sender_qp = side_for(src);
     MemQueuePair* receiver_qp = side_for(sender_qp->peer());
-    Direction& dir = direction_from(src);
     DatagramEngine& engine = fabric.datagrams();
-    if (receiver_qp->closed_ || dir.ud_recvs.empty() ||
-        dir.ud_recvs.front().buf.size < d.view.size) {
+    if (receiver_qp->closed_) {
+      engine.count_no_recv();
+      return;
+    }
+    Direction& dir = direction_from(src);
+    if (dir.ud_recvs.empty() || dir.ud_recvs.front().buf.size < d.view.size) {
       engine.count_no_recv();
       return;
     }
@@ -438,8 +454,10 @@ struct MemFabric::Connection {
       }
       dir.ud_recvs.clear();
     };
-    flush_dir(a_to_b, side_a.self_);
-    flush_dir(b_to_a, side_b.self_);
+    if (queues) {
+      flush_dir(queues->a_to_b, side_a.self_);
+      flush_dir(queues->b_to_a, side_b.self_);
+    }
     for (MemQueuePair* side : {&side_a, &side_b}) {
       if (side->closed_) continue;
       fabric.deliver(side->self_,
@@ -452,8 +470,7 @@ struct MemFabric::Connection {
   util::Mutex mutex;
   MemQueuePair side_a;
   MemQueuePair side_b;
-  Direction a_to_b RDMC_GUARDED_BY(mutex);
-  Direction b_to_a RDMC_GUARDED_BY(mutex);
+  std::unique_ptr<Queues> queues RDMC_GUARDED_BY(mutex);
   bool broken RDMC_GUARDED_BY(mutex) = false;
 };
 
@@ -534,10 +551,13 @@ void MemFabric::MemQueuePair::close() {
   mark_broken();
   // Revoke our posted receives (they point at memory about to be freed)
   // and discard anything already queued toward us.
-  auto& incoming = conn_.direction_from(peer_);
-  incoming.recvs.clear();
-  incoming.ud_recvs.clear();
-  conn_.try_match(peer_, incoming);
+  if (conn_.queues) {
+    auto& incoming = conn_.direction_from(peer_);
+    incoming.recvs.clear();
+    incoming.ud_recvs.clear();
+    conn_.try_match(peer_, incoming);
+  }
+  conn_.release_if_closed();
 }
 
 PostResult MemFabric::MemQueuePair::post_window_write(

@@ -633,11 +633,9 @@ void TcpFabric::TcpEndpoint::stop() {
     stopping_ = true;
   }
   cv_.notify_all();
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // Shutting the listener down wakes accept(); the fd is closed only after
+  // the accept thread is joined, so that thread never reads it mid-reset.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
     util::MutexLock lock(state_mutex_);
     for (auto& [peer, fd] : out_fds_) {
@@ -648,6 +646,10 @@ void TcpFabric::TcpEndpoint::stop() {
     for (int fd : in_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
   // Joining the accept thread first means no new reader can be spawned;
   // move the vector out under the lock rather than iterating the guarded
   // field unlocked.

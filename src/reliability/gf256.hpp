@@ -1,10 +1,14 @@
 // GF(2^8) arithmetic for the Reed-Solomon reliability policy.
 //
 // The field is GF(256) with the usual AES-adjacent reduction polynomial
-// x^8 + x^4 + x^3 + x^2 + 1 (0x11D). Multiplication goes through a
-// precomputed 64 KB full product table so the per-byte coding loop is one
-// load and one xor — plenty for repairing multicast losses, where the work
-// is proportional to *lost* bytes, not transferred bytes.
+// x^8 + x^4 + x^3 + x^2 + 1 (0x11D). mul/inv go through a precomputed
+// 64 KB full product table. The coding inner loop, muladd, runs on every
+// byte the root sends (the root encodes every stripe) and on every byte a
+// receiver reconstructs, so it is vectorised: per coefficient, two
+// 16-entry tables hold the products of the low and high nibble, and AVX2
+// vpshufb looks up 32 bytes at a time (the split-table technique of
+// GF-Complete and ISA-L). The kernel is chosen once at first use; hosts
+// without AVX2, and the last n % 32 bytes, use the byte-table loop.
 #pragma once
 
 #include <cstddef>

@@ -34,6 +34,19 @@ void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
     out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
 }
 
+/// Every message starts with its type and the sender's relay channel.
+/// Endpoints outlive sessions, so a message still queued when its session
+/// is destroyed reaches the next session on the same endpoints; the channel,
+/// which a session owns for good, tells the two apart.
+constexpr std::size_t kHeaderBytes = 5;
+
+std::vector<std::byte> message(Msg type, std::uint32_t channel) {
+  std::vector<std::byte> out;
+  out.push_back(static_cast<std::byte>(type));
+  put_u32(out, channel);
+  return out;
+}
+
 std::uint32_t get_u32(std::span<const std::byte> in, std::size_t off) {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i)
@@ -70,8 +83,17 @@ struct UdMulticastSession::Node {
     /// Relay links: wire block already queued here (never re-relay).
     std::vector<bool> queued;
     std::size_t inflight = 0;
-    /// Receive landing zones, one per posted UD recv (real mode).
-    std::vector<std::vector<std::byte>> scratch;
+    /// The schedule receives on this link (or it is a member's repair
+    /// lane): only such links post UD receives.
+    bool receives = false;
+    /// Landing zones of the posted UD recvs, recv_depth x block_size
+    /// (real mode, receiving links only).
+    std::unique_ptr<std::byte[]> landing;
+
+    fabric::MemoryView zone(std::size_t slot, std::size_t block_size) const {
+      return {landing ? landing.get() + slot * block_size : nullptr,
+              block_size};
+    }
   };
   std::vector<Link> links;
   std::unordered_map<std::uint64_t, std::size_t> link_by_qp;
@@ -82,8 +104,10 @@ struct UdMulticastSession::Node {
   std::size_t have_count = 0;
   bool complete = false;
 
-  // Non-root, real mode: reconstruction buffers.
-  std::vector<std::byte> buffer;
+  // Non-root, real mode: reconstruction buffers. `buffer` holds size_
+  // bytes and is never zero-filled: a received block or repair() writes
+  // every byte before the member completes.
+  std::unique_ptr<std::byte[]> buffer;
   std::vector<std::vector<std::byte>> parity;  // dense parity ordinal
 };
 
@@ -128,6 +152,11 @@ UdMulticastSession::~UdMulticastSession() {
     fabric_.endpoint(id).set_completion_handler(nullptr);
     fabric_.endpoint(id).set_oob_handler(nullptr);
   }
+  // Close every queue pair: close() revokes the posted receives, so no
+  // late datagram can land in a landing zone freed below.
+  util::MutexLock lock(mutex_);
+  for (const auto& n : nodes_)
+    for (const Node::Link& link : n->links) link.qp->close();
 }
 
 double UdMulticastSession::now() const { return options_.clock(); }
@@ -139,15 +168,15 @@ fabric::MemoryView UdMulticastSession::wire_view(const Node& n,
     const std::size_t off = db * options_.block_size;
     const std::size_t len = std::min(options_.block_size, size_ - off);
     if (phantom_) return {nullptr, len};
-    const std::byte* src =
-        n.rank == 0 ? data_ + off : n.buffer.data() + off;
+    const std::byte* src = n.rank == 0 ? data_ + off : n.buffer.get() + off;
     return {const_cast<std::byte*>(src), len};
   }
   const std::size_t ord = policy_->parity_ordinal_of(w, data_blocks_);
   if (phantom_) return {nullptr, options_.block_size};
-  const std::vector<std::byte>& p =
-      n.rank == 0 ? root_parity_[ord] : n.parity[ord];
-  return {const_cast<std::byte*>(p.data()), options_.block_size};
+  const std::byte* p = n.rank == 0
+                           ? root_parity_.get() + ord * options_.block_size
+                           : n.parity[ord].data();
+  return {const_cast<std::byte*>(p), options_.block_size};
 }
 
 bool UdMulticastSession::send(const std::byte* data, std::size_t size) {
@@ -164,16 +193,10 @@ bool UdMulticastSession::send(const std::byte* data, std::size_t size) {
 
   // Root-side parity encode (erasure, real mode).
   if (!phantom_ && stats_.parity_blocks > 0) {
-    root_parity_.resize(stats_.parity_blocks);
+    // encode() overwrites every parity byte, so the slab is not zeroed.
+    root_parity_ = std::make_unique_for_overwrite<std::byte[]>(
+        stats_.parity_blocks * options_.block_size);
     std::vector<std::byte> padded;  // zero-padded short final block
-    for (std::size_t w = 0; w < wire_blocks_; ++w) {
-      const std::size_t ord = policy_->parity_ordinal_of(w, data_blocks_);
-      if (ord == SIZE_MAX) continue;
-      root_parity_[ord].resize(options_.block_size);
-    }
-    // Encode stripe by stripe via the policy's repair-complement: we reuse
-    // RsCode directly through make_policy's erasure geometry by recomputing
-    // coefficients here — simplest is to lean on RsCode again.
     RsCode code(options_.rs_k, options_.rs_m);
     const std::size_t k = options_.rs_k;
     const std::size_t m = options_.rs_m;
@@ -195,7 +218,7 @@ bool UdMulticastSession::send(const std::byte* data, std::size_t size) {
         }
       }
       for (std::size_t j = 0; j < m; ++j)
-        par[j] = root_parity_[s * m + j].data();
+        par[j] = root_parity_.get() + (s * m + j) * options_.block_size;
       code.encode(sym, par, options_.block_size);
     }
   }
@@ -218,7 +241,17 @@ bool UdMulticastSession::send(const std::byte* data, std::size_t size) {
     assert(root_->members[r].repair_link != SIZE_MAX);
   }
 
-  // Install handlers last: state above is complete before any event fires.
+  std::vector<std::byte> msg = message(Msg::kMsgStart, options_.channel);
+  put_u64(msg, size_);
+  put_u32(msg, static_cast<std::uint32_t>(options_.block_size));
+  put_u32(msg, static_cast<std::uint32_t>(data_blocks_));
+  put_u32(msg, static_cast<std::uint32_t>(wire_blocks_));
+  lock.unlock();
+
+  // Install handlers once the state above is complete, and outside mutex_:
+  // a dispatching endpoint holds its handler lock while a handler takes
+  // mutex_, so taking them in the other order could deadlock. No event for
+  // this session fires before kMsgStart goes out.
   for (std::size_t rank = 0; rank < members_.size(); ++rank) {
     fabric::Endpoint& ep = fabric_.endpoint(members_[rank]);
     ep.set_completion_handler(
@@ -230,13 +263,6 @@ bool UdMulticastSession::send(const std::byte* data, std::size_t size) {
   }
 
   // Announce geometry; the root pumps once every member replied kReady.
-  std::vector<std::byte> msg;
-  msg.push_back(static_cast<std::byte>(Msg::kMsgStart));
-  put_u64(msg, size_);
-  put_u32(msg, static_cast<std::uint32_t>(options_.block_size));
-  put_u32(msg, static_cast<std::uint32_t>(data_blocks_));
-  put_u32(msg, static_cast<std::uint32_t>(wire_blocks_));
-  lock.unlock();
   for (std::size_t r = 1; r < members_.size(); ++r)
     fabric_.endpoint(members_[0]).send_oob(members_[r], msg);
   return true;
@@ -251,7 +277,7 @@ void UdMulticastSession::setup_node(std::size_t rank) {
   n->have.assign(wire_blocks_, rank == 0);
   n->have_count = rank == 0 ? wire_blocks_ : 0;
   if (!phantom_ && rank != 0) {
-    n->buffer.resize(size_);
+    n->buffer = std::make_unique_for_overwrite<std::byte[]>(size_);
     n->parity.resize(stats_.parity_blocks);
   }
 
@@ -277,7 +303,7 @@ void UdMulticastSession::setup_node(std::size_t rank) {
       n->relay_links_for[t.block].push_back(static_cast<std::uint32_t>(l));
     }
     for (const sched::Transfer& t : n->schedule->recvs_at(wire_blocks_, step))
-      link_to(t.peer);
+      n->links[link_to(t.peer)].receives = true;
   }
   // Repair lane: root to every member on channel + 1.
   if (rank == 0) {
@@ -291,6 +317,7 @@ void UdMulticastSession::setup_node(std::size_t rank) {
     Node::Link link;
     link.peer_rank = 0;
     link.repair = true;
+    link.receives = true;
     n->links.push_back(std::move(link));
   }
 
@@ -303,22 +330,20 @@ void UdMulticastSession::setup_node(std::size_t rank) {
   }
   nodes_.push_back(std::move(n));
   Node& node = *nodes_.back();
-  for (std::size_t l = 0; l < node.links.size(); ++l) post_recvs(node, l);
+  for (std::size_t l = 0; l < node.links.size(); ++l)
+    if (node.links[l].receives) post_recvs(node, l);
 }
 
 void UdMulticastSession::post_recvs(Node& n, std::size_t link_idx) {
   Node::Link& link = n.links[link_idx];
   if (!phantom_) {
-    link.scratch.assign(options_.recv_depth,
-                        std::vector<std::byte>(options_.block_size));
+    link.landing = std::make_unique_for_overwrite<std::byte[]>(
+        options_.recv_depth * options_.block_size);
   }
   for (std::size_t slot = 0; slot < options_.recv_depth; ++slot) {
-    fabric::MemoryView buf{
-        phantom_ ? nullptr : link.scratch[slot].data(),
-        options_.block_size};
     const std::uint64_t wr =
         (static_cast<std::uint64_t>(link_idx) << 32) | slot;
-    link.qp->post_recv_ud(buf, wr);
+    link.qp->post_recv_ud(link.zone(slot, options_.block_size), wr);
   }
 }
 
@@ -393,22 +418,24 @@ void UdMulticastSession::on_completion(std::size_t rank,
     n.have_count++;
     if (!phantom_) {
       const std::size_t db = policy_->data_block_of(w, data_blocks_);
-      const std::vector<std::byte>& src = link.scratch[slot];
+      const std::byte* src = link.zone(slot, options_.block_size).data;
       if (db != SIZE_MAX) {
-        const std::size_t off = db * options_.block_size;
-        std::copy(src.begin(), src.begin() + c.byte_len, n.buffer.begin() + off);
+        // Once complete, repair() has already rebuilt this block and the
+        // caller may be reading the buffer: never write it again.
+        if (!n.complete) {
+          const std::size_t off = db * options_.block_size;
+          std::memcpy(n.buffer.get() + off, src, c.byte_len);
+        }
       } else {
         const std::size_t ord = policy_->parity_ordinal_of(w, data_blocks_);
-        n.parity[ord].assign(src.begin(), src.begin() + c.byte_len);
+        n.parity[ord].assign(src, src + c.byte_len);
       }
     }
     if (retx) results_[rank].retx_received++;
   }
   // Hand the landing zone back to the fabric before anything else can
   // arrive into this slot.
-  fabric::MemoryView buf{phantom_ ? nullptr : link.scratch[slot].data(),
-                         options_.block_size};
-  link.qp->post_recv_ud(buf, c.wr_id);
+  link.qp->post_recv_ud(link.zone(slot, options_.block_size), c.wr_id);
 
   if (fresh) {
     block_available(n, w);
@@ -430,7 +457,7 @@ void UdMulticastSession::member_check_complete(Node& n) {
     const double t0 = deliver_ts;
     if (!phantom_) {
       policy_->repair(n.have, data_blocks_, options_.block_size,
-                      n.buffer.data(), size_, n.parity);
+                      n.buffer.get(), size_, n.parity);
     }
     if (options_.charge_cpu) {
       deliver_ts = options_.charge_cpu(
@@ -453,9 +480,8 @@ void UdMulticastSession::member_check_complete(Node& n) {
   finish_member(n.rank, /*failed=*/false);
 
   // Tell the root (protocol-complete even though state is shared here).
-  std::vector<std::byte> msg;
-  msg.push_back(static_cast<std::byte>(Msg::kComplete));
-  fabric_.endpoint(n.id).send_oob(members_[0], msg);
+  fabric_.endpoint(n.id).send_oob(members_[0],
+                                  message(Msg::kComplete, options_.channel));
 }
 
 void UdMulticastSession::finish_member(std::size_t rank, bool failed) {
@@ -492,7 +518,7 @@ void UdMulticastSession::root_probe(std::size_t member_rank) {
     rm.round++;
     stats_.probe_rounds++;
     if (metric_probes_ != nullptr) metric_probes_->add();
-    msg.push_back(static_cast<std::byte>(Msg::kProbe));
+    msg = message(Msg::kProbe, options_.channel);
     put_u32(msg, static_cast<std::uint32_t>(rm.round));
   }
   fabric_.endpoint(members_[0]).send_oob(members_[member_rank], msg);
@@ -537,7 +563,8 @@ void UdMulticastSession::root_on_status(
 
 void UdMulticastSession::on_oob(std::size_t rank, fabric::NodeId from,
                                 std::span<const std::byte> payload) {
-  if (payload.empty()) return;
+  if (payload.size() < kHeaderBytes || get_u32(payload, 1) != options_.channel)
+    return;  // not this session's message
   const Msg type = static_cast<Msg>(std::to_integer<std::uint8_t>(payload[0]));
   std::size_t from_rank = SIZE_MAX;
   for (std::size_t r = 0; r < members_.size(); ++r)
@@ -547,9 +574,8 @@ void UdMulticastSession::on_oob(std::size_t rank, fabric::NodeId from,
   switch (type) {
     case Msg::kMsgStart: {
       // Geometry was prearranged on the driver thread; acknowledge.
-      std::vector<std::byte> msg;
-      msg.push_back(static_cast<std::byte>(Msg::kReady));
-      fabric_.endpoint(members_[rank]).send_oob(members_[0], msg);
+      fabric_.endpoint(members_[rank]).send_oob(
+          members_[0], message(Msg::kReady, options_.channel));
       return;
     }
     case Msg::kReady: {
@@ -572,18 +598,18 @@ void UdMulticastSession::on_oob(std::size_t rank, fabric::NodeId from,
       return;
     }
     case Msg::kProbe: {
-      if (payload.size() < 5) return;
-      const std::uint32_t round = get_u32(payload, 1);
+      if (payload.size() < kHeaderBytes + 4) return;
+      const std::uint32_t round = get_u32(payload, kHeaderBytes);
       std::vector<std::byte> msg;
       {
         util::MutexLock lock(mutex_);
         Node& n = *nodes_[rank];
         if (n.complete || results_[rank].failed) {
-          msg.push_back(static_cast<std::byte>(Msg::kComplete));
+          msg = message(Msg::kComplete, options_.channel);
         } else {
           const std::vector<std::uint32_t> missing = policy_->nack_set(
               n.have, data_blocks_, options_.nack_window);
-          msg.push_back(static_cast<std::byte>(Msg::kStatus));
+          msg = message(Msg::kStatus, options_.channel);
           put_u32(msg, round);
           put_u64(msg, n.have_count);
           put_u32(msg, static_cast<std::uint32_t>(missing.size()));
@@ -599,14 +625,16 @@ void UdMulticastSession::on_oob(std::size_t rank, fabric::NodeId from,
       return;
     }
     case Msg::kStatus: {
-      if (payload.size() < 17) return;
-      const std::uint64_t have_count = get_u64(payload, 5);
-      const std::uint32_t count = get_u32(payload, 13);
+      // round u32, have_count u64, count u32, then count block indices.
+      constexpr std::size_t kList = kHeaderBytes + 16;
+      if (payload.size() < kList) return;
+      const std::uint64_t have_count = get_u64(payload, kHeaderBytes + 4);
+      const std::uint32_t count = get_u32(payload, kHeaderBytes + 12);
       std::vector<std::uint32_t> missing;
       missing.reserve(count);
       for (std::uint32_t i = 0;
-           i < count && 17 + 4 * (i + 1) <= payload.size(); ++i) {
-        missing.push_back(get_u32(payload, 17 + 4 * i));
+           i < count && kList + 4 * (i + 1) <= payload.size(); ++i) {
+        missing.push_back(get_u32(payload, kList + 4 * i));
       }
       root_on_status(from_rank, missing, have_count);
       return;
@@ -642,7 +670,7 @@ std::span<const std::byte> UdMulticastSession::member_data(
     std::size_t rank) const {
   util::MutexLock lock(mutex_);
   if (rank == 0 || rank >= nodes_.size() || phantom_) return {};
-  return {nodes_[rank]->buffer.data(), nodes_[rank]->buffer.size()};
+  return {nodes_[rank]->buffer.get(), size_};
 }
 
 }  // namespace rdmc::reliability

@@ -23,6 +23,9 @@
 //   kProbe     root -> member  "what are you missing?" (source-driven NACK)
 //   kStatus    member -> root  missing wire blocks, capped per round
 //   kComplete  member -> root  message reconstructed (after decode)
+// Each message carries the session's relay channel, and a session ignores
+// messages from other channels: a message of a destroyed session can still
+// be queued at an endpoint that the next session's handlers now serve.
 //
 // Repair. The root retransmits NACKed blocks over dedicated repair QPs
 // (root <-> each member on channel base+1) with the retx immediate flag,
@@ -58,10 +61,16 @@ struct SessionOptions {
   std::size_t rs_m = 2;
   /// Max wire blocks reported per kStatus and retransmitted per round.
   std::size_t nack_window = 1024;
-  /// UD receives kept posted per incoming queue pair.
+  /// UD receives kept posted per receiving queue pair: the links the
+  /// schedule receives on, plus a member's repair lane. The root receives
+  /// no datagrams and posts none. In real mode each receiving link holds
+  /// one recv_depth x block_size landing slab.
   std::size_t recv_depth = 64;
-  /// Concurrent unacknowledged datagrams per outgoing queue pair (paces
-  /// the threaded fabrics so receivers can re-post receives).
+  /// Datagrams posted and not yet completed (kSendUd) per outgoing queue
+  /// pair. This bounds the sender's queue, not the receiver's: MemFabric
+  /// completes kSendUd when it places the datagram, so the option does not
+  /// pace receivers there. A datagram that finds no posted receive is
+  /// discarded and counted as no_recv (receiver overrun).
   std::size_t send_inflight = 32;
   /// A NACKed block is not retransmitted again for this many probe rounds
   /// (absorbs the NACK-vs-in-flight-repair race).
@@ -70,7 +79,10 @@ struct SessionOptions {
   /// progress; repair policies keep probing until max_rounds.
   std::size_t giveup_rounds = 5;
   std::size_t max_rounds = 10000;
-  /// Fabric channel for the relay tree; repair QPs use channel + 1.
+  /// Fabric channel for the relay tree; repair QPs use channel + 1. The
+  /// session owns both channels: the destructor closes every queue pair it
+  /// connected on them, for good (a closed QP never reopens), so each
+  /// session needs channels no earlier session used.
   std::uint32_t channel = 0;
   /// Clock used for trace timestamps and latency stats. Defaults to host
   /// wall time; pass the simulator's now() under SimFabric.
@@ -115,6 +127,8 @@ class UdMulticastSession {
   /// `members[0]` is the root. The fabric must host every member.
   UdMulticastSession(fabric::Fabric& fabric, std::vector<fabric::NodeId> members,
                      SessionOptions options);
+  /// Detaches the session's handlers, then closes every queue pair it
+  /// connected on `channel` and `channel + 1`.
   ~UdMulticastSession();
 
   UdMulticastSession(const UdMulticastSession&) = delete;
@@ -191,8 +205,9 @@ class UdMulticastSession {
   std::size_t data_blocks_ RDMC_GUARDED_BY(mutex_) = 0;
   std::size_t wire_blocks_ RDMC_GUARDED_BY(mutex_) = 0;
   bool phantom_ RDMC_GUARDED_BY(mutex_) = true;
-  /// Root-side parity symbols, dense ordinal -> block_size bytes.
-  std::vector<std::vector<std::byte>> root_parity_ RDMC_GUARDED_BY(mutex_);
+  /// Root-side parity symbols: dense ordinal * block_size is the offset of
+  /// each block_size-byte symbol.
+  std::unique_ptr<std::byte[]> root_parity_ RDMC_GUARDED_BY(mutex_);
 
   std::vector<std::unique_ptr<Node>> nodes_ RDMC_GUARDED_BY(mutex_);
   std::unique_ptr<RootState> root_ RDMC_GUARDED_BY(mutex_);

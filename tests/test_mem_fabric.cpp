@@ -246,6 +246,48 @@ TEST(MemFabric, CloseRevokesPostedReceives) {
   EXPECT_TRUE(qp1->broken());
 }
 
+TEST(MemFabric, ClosedConnectionStaysDeadAfterItsQueuesAreFreed) {
+  MemFabric fabric(3);
+  Collector c0(fabric.endpoint(0)), c1(fabric.endpoint(1));
+  QueuePair* qp0 = fabric.connect(0, 1, 5);
+  QueuePair* qp1 = fabric.connect(1, 0, 5);
+  std::vector<std::byte> landing(64, std::byte{0});
+  ASSERT_TRUE(ok(qp1->post_recv_ud(MemoryView{landing.data(), 64}, 1)));
+
+  // One side closed: a datagram from the open side is discarded as
+  // no_recv and never reaches the revoked landing zone.
+  qp1->close();
+  std::vector<std::byte> src(64, std::byte{7});
+  const auto before = fabric.faults().datagram_counters();
+  ASSERT_TRUE(ok(qp0->post_send_ud(MemoryView{src.data(), 64}, 2, 0)));
+  const auto after = fabric.faults().datagram_counters();
+  EXPECT_EQ(after.no_recv, before.no_recv + 1);
+  EXPECT_EQ(after.delivered, before.delivered);
+  EXPECT_EQ(landing[0], std::byte{0});
+  ASSERT_TRUE(c0.wait_for(1));  // the sender's kSendUd
+
+  // Both sides closed: the queues are freed, the handles stay valid and
+  // every verb reports kQpBroken.
+  qp0->close();
+  const MemoryView buf{src.data(), 64};
+  EXPECT_EQ(qp0->post_send(buf, 3, 0), PostResult::kQpBroken);
+  EXPECT_EQ(qp0->post_recv(buf, 4), PostResult::kQpBroken);
+  EXPECT_EQ(qp0->post_write_imm(0, 5), PostResult::kQpBroken);
+  EXPECT_EQ(qp0->post_window_write(0, 0, buf, 0, 6), PostResult::kQpBroken);
+  EXPECT_EQ(qp0->post_send_ud(buf, 7, 0), PostResult::kQpBroken);
+  EXPECT_EQ(qp1->post_recv_ud(buf, 8), PostResult::kQpBroken);
+  // Reconnecting returns the same dead side.
+  EXPECT_EQ(fabric.connect(0, 1, 5), qp0);
+
+  // Faults over the reclaimed connection emit nothing and do not crash.
+  fabric.faults().break_link(0, 1);
+  fabric.faults().crash_node(1);
+  fabric.drain();
+  EXPECT_EQ(c0.snapshot().size(), 1u);
+  EXPECT_TRUE(c1.snapshot().empty());
+  EXPECT_EQ(fabric.faults().datagram_counters().sent, after.sent);
+}
+
 TEST(MemFabric, UnregisterWindowFences) {
   MemFabric fabric(2);
   Collector c0(fabric.endpoint(0)), c1(fabric.endpoint(1));

@@ -13,14 +13,17 @@
 #include <cstring>
 #include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "fabric/mem_fabric.hpp"
 #include "fabric/sim_fabric.hpp"
 #include "fabric/tcp_fabric.hpp"
 #include "reliability/gf256.hpp"
+#include "reliability/policy.hpp"
 #include "reliability/rs_code.hpp"
 #include "reliability/session.hpp"
+#include "sched/schedule.hpp"
 
 namespace rdmc {
 namespace {
@@ -232,62 +235,115 @@ TEST(Gf256, FieldIdentities) {
       }
 }
 
-TEST(RsCode, RecoversAnyMErasures) {
-  using reliability::RsCode;
-  const std::size_t k = 8, m = 2, n = 512;
-  RsCode code(k, m);
-  std::vector<std::vector<std::byte>> data(k), parity(m);
-  for (std::size_t i = 0; i < k; ++i) {
-    data[i].resize(n);
-    for (std::size_t b = 0; b < n; ++b)
-      data[i][b] = static_cast<std::byte>(17 * i + 3 * b + 1);
+/// Deterministic filler: a xorshift stream from `seed`.
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::byte> out(n);
+  std::uint64_t x = seed | 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    out[i] = static_cast<std::byte>(x >> 56);
   }
-  std::vector<const std::byte*> dptr(k);
-  for (std::size_t i = 0; i < k; ++i) dptr[i] = data[i].data();
-  std::vector<std::byte*> pptr(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    parity[j].resize(n);
-    pptr[j] = parity[j].data();
-  }
-  code.encode(dptr, pptr, n);
-
-  // Erase every pair of data symbols in turn; decode must restore both.
-  for (std::size_t e1 = 0; e1 < k; ++e1) {
-    for (std::size_t e2 = e1 + 1; e2 < k; ++e2) {
-      auto scratch = data;
-      scratch[e1].assign(n, std::byte{0});
-      scratch[e2].assign(n, std::byte{0});
-      std::vector<std::byte*> sym(k);
-      std::vector<bool> have(k, true);
-      for (std::size_t i = 0; i < k; ++i) sym[i] = scratch[i].data();
-      have[e1] = have[e2] = false;
-      std::vector<const std::byte*> par(m);
-      for (std::size_t j = 0; j < m; ++j) par[j] = parity[j].data();
-      ASSERT_TRUE(code.decode(sym, have, par, std::vector<bool>(m, true), n));
-      EXPECT_EQ(scratch[e1], data[e1]);
-      EXPECT_EQ(scratch[e2], data[e2]);
-    }
-  }
-
-  // m+1 erasures must be rejected, not mis-decoded.
-  auto scratch = data;
-  std::vector<std::byte*> sym(k);
-  std::vector<bool> have(k, true);
-  for (std::size_t i = 0; i < k; ++i) sym[i] = scratch[i].data();
-  have[0] = have[1] = have[2] = false;
-  std::vector<const std::byte*> par(m);
-  for (std::size_t j = 0; j < m; ++j) par[j] = parity[j].data();
-  EXPECT_FALSE(code.decode(sym, have, par, std::vector<bool>(m, true), n));
+  return out;
 }
 
-void recover_bit_exact(reliability::Policy policy) {
+TEST(Gf256, MuladdMatchesPerByteProduct) {
+  using namespace reliability;
+  // Lengths 0..100 cover short scalar-only calls and the 32-byte body with
+  // every tail length; 65543 is a long body plus a 7-byte tail. Every
+  // source and destination offset 0..31 is exercised for each coefficient.
+  std::vector<std::size_t> lengths(101);
+  std::iota(lengths.begin(), lengths.end(), 0);
+  lengths.push_back(65543);
+  constexpr std::size_t kGuard = 32;
+  const std::vector<std::byte> src = random_bytes(65543 + 2 * kGuard, 11);
+  const std::vector<std::byte> dst = random_bytes(65543 + 2 * kGuard, 12);
+  std::vector<std::uint8_t> got, want;
+  for (int coef = 0; coef < 256; ++coef) {
+    const auto c = static_cast<std::uint8_t>(coef);
+    for (std::size_t len : lengths) {
+      for (std::size_t xo = 0; xo < 32; ++xo) {
+        // The long length runs 4 of the 32 source offsets per coefficient.
+        if (len > 100 && xo % 8 != std::size_t(coef) % 8) continue;
+        const std::size_t yo = (xo * 7 + coef) % 32;
+        const auto* x = reinterpret_cast<const std::uint8_t*>(src.data()) + xo;
+        got.assign(reinterpret_cast<const std::uint8_t*>(dst.data()),
+                   reinterpret_cast<const std::uint8_t*>(dst.data()) +
+                       len + 2 * kGuard);
+        want = got;
+        for (std::size_t i = 0; i < len; ++i)
+          want[yo + i] ^= gf256::mul(c, x[i]);
+        gf256::muladd(got.data() + yo, x, c, len);
+        ASSERT_EQ(got, want) << "c=" << coef << " len=" << len
+                             << " xo=" << xo << " yo=" << yo;
+      }
+    }
+  }
+}
+
+TEST(RsCode, RecoversAnyMErasures) {
+  using reliability::RsCode;
+  const std::size_t k = 8, m = 2;
+  // 45 and 1007 are not multiples of the muladd kernel's 32-byte step.
+  for (const std::size_t n : {std::size_t{512}, std::size_t{45},
+                              std::size_t{1007}}) {
+    SCOPED_TRACE(n);
+    RsCode code(k, m);
+    std::vector<std::vector<std::byte>> data(k), parity(m);
+    for (std::size_t i = 0; i < k; ++i) {
+      data[i].resize(n);
+      for (std::size_t b = 0; b < n; ++b)
+        data[i][b] = static_cast<std::byte>(17 * i + 3 * b + 1);
+    }
+    std::vector<const std::byte*> dptr(k);
+    for (std::size_t i = 0; i < k; ++i) dptr[i] = data[i].data();
+    std::vector<std::byte*> pptr(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      parity[j].resize(n);
+      pptr[j] = parity[j].data();
+    }
+    code.encode(dptr, pptr, n);
+
+    // Erase every pair of data symbols in turn; decode must restore both.
+    for (std::size_t e1 = 0; e1 < k; ++e1) {
+      for (std::size_t e2 = e1 + 1; e2 < k; ++e2) {
+        auto scratch = data;
+        scratch[e1].assign(n, std::byte{0});
+        scratch[e2].assign(n, std::byte{0});
+        std::vector<std::byte*> sym(k);
+        std::vector<bool> have(k, true);
+        for (std::size_t i = 0; i < k; ++i) sym[i] = scratch[i].data();
+        have[e1] = have[e2] = false;
+        std::vector<const std::byte*> par(m);
+        for (std::size_t j = 0; j < m; ++j) par[j] = parity[j].data();
+        ASSERT_TRUE(
+            code.decode(sym, have, par, std::vector<bool>(m, true), n));
+        EXPECT_EQ(scratch[e1], data[e1]);
+        EXPECT_EQ(scratch[e2], data[e2]);
+      }
+    }
+
+    // m+1 erasures must be rejected, not mis-decoded.
+    auto scratch = data;
+    std::vector<std::byte*> sym(k);
+    std::vector<bool> have(k, true);
+    for (std::size_t i = 0; i < k; ++i) sym[i] = scratch[i].data();
+    have[0] = have[1] = have[2] = false;
+    std::vector<const std::byte*> par(m);
+    for (std::size_t j = 0; j < m; ++j) par[j] = parity[j].data();
+    EXPECT_FALSE(code.decode(sym, have, par, std::vector<bool>(m, true), n));
+  }
+}
+
+void recover_bit_exact(reliability::Policy policy, std::size_t bytes,
+                       std::size_t block_size) {
   fabric::MemFabric fab(4);
   fabric::DatagramFaultProfile p;
   p.loss = 0.01;
   p.seed = 0xBADBEEF;
   fab.faults().set_datagram_faults(p);
 
-  const std::size_t bytes = 100ull << 20;
   std::vector<std::byte> object(bytes);
   std::uint64_t x = 0x9E3779B97F4A7C15ull;
   for (std::size_t i = 0; i < bytes; i += 8) {
@@ -299,7 +355,7 @@ void recover_bit_exact(reliability::Policy policy) {
 
   reliability::SessionOptions opts;
   opts.policy = policy;
-  opts.block_size = 256 * 1024;
+  opts.block_size = block_size;
   reliability::UdMulticastSession session(fab, {0, 1, 2, 3}, opts);
   ASSERT_TRUE(session.send(object.data(), bytes));
   session.wait_done();
@@ -315,11 +371,142 @@ void recover_bit_exact(reliability::Policy policy) {
 }
 
 TEST(UdReliability, SelectiveRepeatRecovers100MBAt1PercentLoss) {
-  recover_bit_exact(reliability::Policy::kSelectiveRepeat);
+  recover_bit_exact(reliability::Policy::kSelectiveRepeat, 100ull << 20,
+                    256 * 1024);
 }
 
 TEST(UdReliability, ErasureRecovers100MBAt1PercentLoss) {
-  recover_bit_exact(reliability::Policy::kErasure);
+  recover_bit_exact(reliability::Policy::kErasure, 100ull << 20, 256 * 1024);
+}
+
+TEST(UdReliability, ErasureDeliversAnObjectWithAShortLastBlock) {
+  // 4 MB + 12345 bytes: 64 full 64 KB blocks and a short 65th, which the
+  // root pads for encoding and members reconstruct into unzeroed buffers.
+  recover_bit_exact(reliability::Policy::kErasure, (4u << 20) + 12345,
+                    64 * 1024);
+}
+
+TEST(UdReliability, ErasureRepairsAShortLastBlockIntoUnzeroedMemory) {
+  // The session's reconstruction buffers are not zero-filled, so repair()
+  // must write every byte of a missing short final block itself. Lose the
+  // short block and one full block of the last stripe and repair into a
+  // buffer poisoned with 0xCD.
+  using namespace reliability;
+  const std::size_t block = 4096, size = 9 * block + 123;
+  const auto policy = make_policy(Policy::kErasure, 8, 2);
+  const std::size_t data_blocks = 10;
+  const std::size_t wire = policy->wire_blocks(data_blocks);
+  const std::vector<std::byte> object = random_bytes(size, 21);
+
+  // Root side: encode both stripes, the short block zero-padded.
+  std::vector<std::vector<std::byte>> parity(4, std::vector<std::byte>(block));
+  RsCode code(8, 2);
+  std::vector<std::byte> padded(block, std::byte{0});
+  std::copy(object.begin() + 9 * block, object.end(), padded.begin());
+  for (std::size_t s = 0; s < 2; ++s) {
+    std::vector<const std::byte*> sym(8, nullptr);
+    for (std::size_t j = 0; j < 8 && s * 8 + j < data_blocks; ++j)
+      sym[j] = s * 8 + j == 9 ? padded.data()
+                              : object.data() + (s * 8 + j) * block;
+    code.encode(sym, {parity[2 * s].data(), parity[2 * s + 1].data()}, block);
+  }
+
+  std::vector<bool> have(wire, true);
+  std::vector<std::byte> got(object);
+  for (std::size_t w = 0; w < wire; ++w) {
+    const std::size_t db = policy->data_block_of(w, data_blocks);
+    if (db != 8 && db != 9) continue;
+    have[w] = false;
+    const std::size_t off = db * block;
+    std::fill(got.begin() + off,
+              got.begin() + std::min(size, off + block), std::byte{0xCD});
+  }
+  ASSERT_TRUE(policy->complete(have, data_blocks));
+  ASSERT_TRUE(
+      policy->repair(have, data_blocks, block, got.data(), size, parity));
+  EXPECT_EQ(got, object);
+}
+
+TEST(UdReliability, DestroyedSessionAcceptsNoLateDatagram) {
+  // A destroyed session has freed its landing zones, so no datagram may be
+  // placed on its channels afterwards. Under ASan, a receive still posted
+  // into a freed landing zone would fail here as a heap-use-after-free.
+  fabric::MemFabric fab(4);
+  fabric::DatagramFaultProfile p;
+  p.loss = 0.01;
+  fab.faults().set_datagram_faults(p);
+  const std::vector<std::byte> object = random_bytes(1u << 20, 41);
+  reliability::SessionOptions opts;
+  opts.policy = reliability::Policy::kErasure;
+  opts.channel = 6;
+  {
+    reliability::UdMulticastSession session(fab, {0, 1, 2, 3}, opts);
+    ASSERT_TRUE(session.send(object.data(), object.size()));
+    session.wait_done();
+    ASSERT_TRUE(session.all_complete());
+  }
+  fab.drain();
+  fab.faults().set_datagram_faults({});  // lossless, counters zeroed
+
+  // A relay peer of member 1 (a rank it receives from) and the root's
+  // repair lane: the session closed both ends, so the post is refused.
+  const auto schedule = sched::make_schedule(
+      sched::Algorithm::kBinomialPipeline, 4, 1);
+  std::uint32_t relay_peer = 0;
+  for (std::size_t step = 0; step < schedule->num_steps(16); ++step)
+    for (const sched::Transfer& t : schedule->recvs_at(16, step))
+      if (t.peer != 0) relay_peer = t.peer;
+  ASSERT_NE(relay_peer, 0u);
+  std::vector<std::byte> late(opts.block_size, std::byte{0xAB});
+  const MemoryView view{late.data(), late.size()};
+  const auto c0 = fab.faults().datagram_counters();
+  EXPECT_EQ(fab.connect(relay_peer, 1, opts.channel)->post_send_ud(view, 0, 0),
+            fabric::PostResult::kQpBroken);
+  EXPECT_EQ(fab.connect(0, 1, opts.channel + 1)->post_send_ud(view, 0, 0),
+            fabric::PostResult::kQpBroken);
+  // A peer the session never connected to member 1 on its repair channel:
+  // the datagram goes out and is discarded on arrival.
+  EXPECT_EQ(fab.connect(2, 1, opts.channel + 1)->post_send_ud(view, 0, 0),
+            fabric::PostResult::kOk);
+  fab.drain();
+  const auto c1 = fab.faults().datagram_counters();
+  EXPECT_EQ(c1.sent, c0.sent + 1);
+  EXPECT_EQ(c1.no_recv, c0.no_recv + 1);
+  EXPECT_EQ(c1.delivered, c0.delivered);
+}
+
+TEST(UdReliability, BackToBackSessionsIgnoreEachOthersControlMessages) {
+  // Endpoints outlive sessions, so a finished session's control messages
+  // (a member's kComplete, say) can still be queued when the next session
+  // installs its handlers. Taken for the new session's, such a message
+  // would stop the root from repairing that member and the session would
+  // never finish. A slow root keeps its queue long enough for that.
+  fabric::MemFabric fab(4);
+  fabric::DatagramFaultProfile p;
+  p.loss = 0.10;
+  p.seed = 0xB2B;
+  fab.faults().set_datagram_faults(p);
+  fab.faults().slow_node(0, 51.0, 60.0);  // +0.5 ms per root dispatch
+  const std::vector<std::byte> object = random_bytes(256u << 10, 51);
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    reliability::SessionOptions opts;
+    opts.policy = reliability::Policy::kErasure;
+    opts.block_size = 16 * 1024;
+    opts.channel = 2 * i;
+    reliability::UdMulticastSession session(fab, {0, 1, 2, 3}, opts);
+    ASSERT_TRUE(session.send(object.data(), object.size()));
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (!session.done() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(1ms);
+    ASSERT_TRUE(session.done()) << "session " << i;
+    ASSERT_TRUE(session.all_complete()) << "session " << i;
+    for (std::size_t rank = 1; rank < 4; ++rank) {
+      const auto got = session.member_data(rank);
+      ASSERT_EQ(got.size(), object.size());
+      EXPECT_EQ(std::memcmp(got.data(), object.data(), object.size()), 0)
+          << "session " << i << " rank " << rank;
+    }
+  }
 }
 
 TEST(UdReliability, PhantomSessionOnSimFabricDeliversAll) {
