@@ -82,13 +82,15 @@ int main(int argc, char** argv) {
   // Every point is an independent simulation; run them on the sweep
   // executor and assemble the table (including the sequential
   // extrapolation off the 128-node point) in input order afterwards.
-  // Full mode extends past the paper's 512-node axis to 16K nodes — the
+  // Full mode extends past the paper's 512-node axis to 64K nodes — the
   // flat curve continuing is the "replication is almost free" claim at
   // datacenter scale (and the stress test for the incremental max-min
-  // solver; see DESIGN.md "Hierarchical water-fill").
+  // solver and for the simulator's memory per node; see DESIGN.md,
+  // "Simulator performance architecture").
   std::vector<std::size_t> node_counts{2, 4, 8, 16, 32, 64, 128, 256, 512};
   if (!quick)
-    for (const std::size_t n : {1024, 4096, 16384}) node_counts.push_back(n);
+    for (const std::size_t n : {1024, 4096, 16384, 65536})
+      node_counts.push_back(n);
   const std::size_t fill_jobs = opts.fill_jobs;
   struct Point {
     double pipe = 0.0;

@@ -19,7 +19,7 @@ namespace {
 constexpr std::size_t kNeighbourProbes[] = {1, 2, 3, 5, 8, 64, 257, 1031};
 }  // namespace
 
-Group::Group(Node& node, GroupId id, std::vector<NodeId> members,
+Group::Group(Node& node, GroupId id, Membership members,
              GroupOptions options, IncomingMessageCallback incoming,
              MessageCompletionCallback completion, FailureCallback on_failure)
     : node_(node),
@@ -100,9 +100,9 @@ Group::Group(Node& node, GroupId id, std::vector<NodeId> members,
       }
     }
     assert(first_source != UINT32_MAX && "receiver with no incoming blocks");
-    for (std::size_t p = 0; p < pairs_.size(); ++p)
-      if (pairs_[p].peer_rank == first_source) first_pair_ = p;
-    scratch_.resize(options_.block_size);
+    first_pair_ = pair_index_of(first_source);
+    scratch_ =
+        std::make_unique_for_overwrite<std::byte[]>(options_.block_size);
     arm_first_block();
   }
 }
@@ -164,22 +164,16 @@ void Group::build_transfer_lists(std::size_t num_blocks) {
   // Flatten the step schedule into per-pair FIFOs. Within a step the
   // schedule's own emission order (primary vertex, then shadow) is used by
   // both sides, so the two FIFOs of a pair always mirror each other.
-  std::vector<std::size_t> pair_of_rank(members_.size(), SIZE_MAX);
-  for (std::size_t p = 0; p < pairs_.size(); ++p)
-    pair_of_rank[pairs_[p].peer_rank] = p;
-
   const std::size_t steps = schedule_->num_steps(num_blocks);
   msg_sends_total_ = 0;
   msg_recvs_total_ = 0;
   for (std::size_t j = 0; j < steps; ++j) {
     for (const auto& t : schedule_->sends_at(num_blocks, j)) {
-      assert(pair_of_rank[t.peer] != SIZE_MAX);
-      pairs_[pair_of_rank[t.peer]].send_blocks.push_back(t.block);
+      pairs_[pair_index_of(t.peer)].send_blocks.push_back(t.block);
       ++msg_sends_total_;
     }
     for (const auto& t : schedule_->recvs_at(num_blocks, j)) {
-      assert(pair_of_rank[t.peer] != SIZE_MAX);
-      pairs_[pair_of_rank[t.peer]].recv_blocks.push_back(t.block);
+      pairs_[pair_index_of(t.peer)].recv_blocks.push_back(t.block);
       ++msg_recvs_total_;
     }
   }
@@ -191,11 +185,22 @@ void Group::build_transfer_lists(std::size_t num_blocks) {
     pairs_[first_pair_].next_recv_post = 1;
 }
 
+std::size_t Group::pair_index_of(std::uint32_t peer_rank) const {
+  const auto it = std::lower_bound(
+      pairs_.begin(), pairs_.end(), peer_rank,
+      [](const Pair& pair, std::uint32_t rank) {
+        return pair.peer_rank < rank;
+      });
+  assert(it != pairs_.end() && it->peer_rank == peer_rank &&
+         "schedule uses a neighbour the probes did not find");
+  return static_cast<std::size_t>(it - pairs_.begin());
+}
+
 void Group::arm_first_block() {
   if (rank_ == 0 || scratch_armed_ || failed_) return;
   Pair& pair = pairs_[first_pair_];
   if (!fabric::ok(pair.qp->post_recv(
-          fabric::MemoryView{scratch_.data(), scratch_.size()},
+          fabric::MemoryView{scratch_.get(), options_.block_size},
           /*wr_id=*/0)))
     return;
   scratch_armed_ = true;
@@ -308,7 +313,7 @@ void Group::on_recv_completion(std::size_t pair_index,
   if (via_scratch && data_ != nullptr) {
     // §4.2: copy the first block from the scratch area to its offset.
     const double c0 = node_.clock()();
-    std::memcpy(data_ + block_offset(block), scratch_.data(),
+    std::memcpy(data_ + block_offset(block), scratch_.get(),
                 block_bytes(block));
     stats_.copy_seconds += node_.clock()() - c0;
   }

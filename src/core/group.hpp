@@ -25,14 +25,19 @@
 // credits are granted after activation, so a neighbour running a message
 // ahead can never inject a future message's block out of sequence. The
 // scratch block is copied to its in-message offset once the size is known
-// (§4.2 Data Transfer). The root normally never receives, but schedules
-// such as the MPI scatter+allgather baseline route (redundant) blocks
-// through it post-activation; the engine supports that uniformly.
+// (§4.2 Data Transfer). The scratch is never zero-filled: the group only
+// copies out bytes the fabric wrote into it, and a phantom transfer writes
+// none (fabric.hpp, MemoryView), so a phantom receiver's scratch stays
+// address space that is never made resident. The root normally never
+// receives, but schedules such as the MPI scatter+allgather baseline route
+// (redundant) blocks through it post-activation; the engine supports that
+// uniformly.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,7 +49,7 @@ namespace rdmc {
 
 class Group : public QpSink {
  public:
-  Group(Node& node, GroupId id, std::vector<NodeId> members,
+  Group(Node& node, GroupId id, Membership members,
         GroupOptions options, IncomingMessageCallback incoming,
         MessageCompletionCallback completion, FailureCallback on_failure);
   ~Group();
@@ -55,7 +60,6 @@ class Group : public QpSink {
   GroupId id() const { return id_; }
   bool is_root() const { return rank_ == 0; }
   std::size_t rank() const { return rank_; }
-  const std::vector<NodeId>& members() const { return members_; }
   bool failed() const { return failed_; }
 
   /// Root only: enqueue a message (data/size must stay valid until the
@@ -118,6 +122,8 @@ class Group : public QpSink {
   void start_next_outgoing();
   /// Build per-pair send/recv lists for a k-block message.
   void build_transfer_lists(std::size_t num_blocks);
+  /// Index into pairs_ (sorted by peer_rank) of the pair with `peer_rank`.
+  std::size_t pair_index_of(std::uint32_t peer_rank) const;
   /// A first block arrived (in the designated pair's scratch) while idle.
   void activate_incoming(std::size_t pair_index, std::uint32_t size_imm);
   /// Re-arm the scratch first-block receive on the designated first pair.
@@ -144,7 +150,7 @@ class Group : public QpSink {
 
   Node& node_;
   GroupId id_;
-  std::vector<NodeId> members_;
+  Membership members_;
   GroupOptions options_;
   IncomingMessageCallback incoming_;
   MessageCompletionCallback completion_;
@@ -152,11 +158,12 @@ class Group : public QpSink {
 
   std::size_t rank_ = 0;
   std::unique_ptr<sched::Schedule> schedule_;
-  std::vector<Pair> pairs_;
+  std::vector<Pair> pairs_;  // sorted by peer_rank
   /// Index of the designated first pair (SIZE_MAX for the root).
   std::size_t first_pair_ = SIZE_MAX;
-  /// Scratch landing zone for each message's first block.
-  std::vector<std::byte> scratch_;
+  /// Scratch landing zone for each message's first block: block_size
+  /// bytes, uninitialised (receivers only).
+  std::unique_ptr<std::byte[]> scratch_;
   /// Whether the scratch receive is currently posted and unconsumed.
   bool scratch_armed_ = false;
 

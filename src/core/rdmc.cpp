@@ -77,7 +77,7 @@ Node::~Node() {
   small_groups_.clear();
 }
 
-bool Node::create_group(GroupId group, std::vector<NodeId> members,
+bool Node::create_group(GroupId group, Membership members,
                         GroupOptions options,
                         IncomingMessageCallback incoming_message,
                         MessageCompletionCallback message_completion,
@@ -121,8 +121,7 @@ bool Node::group_failed(GroupId group) const {
 }
 
 bool Node::create_small_group(
-    GroupId group, std::vector<NodeId> members,
-    const SmallGroupOptions& options,
+    GroupId group, Membership members, const SmallGroupOptions& options,
     std::function<void(const std::byte*, std::size_t)> deliver,
     std::function<void(std::size_t)> sent, FailureCallback on_failure) {
   if (members.size() < 2 || options.slot_size == 0 ||
@@ -230,7 +229,7 @@ void Node::unregister_control_handler(GroupId group) {
   control_handlers_.erase(group);
 }
 
-void Node::relay_failure(GroupId group, const std::vector<NodeId>& members,
+void Node::relay_failure(GroupId group, const Membership& members,
                          NodeId suspect) {
   OobHeader header;
   header.group = group;

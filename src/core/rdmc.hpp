@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -34,6 +35,30 @@ namespace rdmc {
 
 using NodeId = fabric::NodeId;
 using GroupId = std::int32_t;
+
+/// A group's members in rank order (the front member is the root).
+/// Immutable and shared: copies share one list, so the groups of all the
+/// members one process hosts (the simulator hosts every node) hold a single
+/// n-entry list between them instead of n private copies. Converts
+/// implicitly from a vector or a braced list of node ids.
+class Membership {
+ public:
+  Membership() : Membership(std::vector<NodeId>{}) {}
+  Membership(std::vector<NodeId> members)
+      : list_(std::make_shared<const std::vector<NodeId>>(
+            std::move(members))) {}
+  Membership(std::initializer_list<NodeId> members)
+      : Membership(std::vector<NodeId>(members)) {}
+
+  std::size_t size() const { return list_->size(); }
+  NodeId operator[](std::size_t rank) const { return (*list_)[rank]; }
+  NodeId front() const { return list_->front(); }
+  std::vector<NodeId>::const_iterator begin() const { return list_->begin(); }
+  std::vector<NodeId>::const_iterator end() const { return list_->end(); }
+
+ private:
+  std::shared_ptr<const std::vector<NodeId>> list_;
+};
 
 /// Called on receivers when a new transfer begins; returns the memory
 /// region the message lands in (may be phantom — null data — in simulated
@@ -87,7 +112,9 @@ class Node {
   /// Create a new group with the designated members (first member is the
   /// root). Must be called by every member with identical arguments;
   /// returns false if the group id is in use or the arguments are invalid.
-  bool create_group(GroupId group, std::vector<NodeId> members,
+  /// A process hosting several members passes them one Membership, so they
+  /// share a single copy of the list.
+  bool create_group(GroupId group, Membership members,
                     GroupOptions options,
                     IncomingMessageCallback incoming_message,
                     MessageCompletionCallback message_completion,
@@ -115,8 +142,7 @@ class Node {
   /// Create a small-message group (same collective contract and id space
   /// as create_group; ids must not collide across the two kinds).
   bool create_small_group(
-      GroupId group, std::vector<NodeId> members,
-      const SmallGroupOptions& options,
+      GroupId group, Membership members, const SmallGroupOptions& options,
       std::function<void(const std::byte* data, std::size_t size)> deliver,
       std::function<void(std::size_t seq)> sent = {},
       FailureCallback on_failure = {});
@@ -157,7 +183,7 @@ class Node {
   void on_completion(const fabric::Completion& c);
   void on_oob(NodeId from, std::span<const std::byte> payload);
   /// Relay a failure observation to all members of a group (§3 item 6).
-  void relay_failure(GroupId group, const std::vector<NodeId>& members,
+  void relay_failure(GroupId group, const Membership& members,
                      NodeId suspect);
   void register_qp(fabric::QpId qp, QpSink* sink, std::size_t pair_index);
   /// Move every queue pair routed to `sink` into the retired set and purge

@@ -16,7 +16,7 @@ constexpr std::uint32_t kSmallChannelBase = 0x40000000u;
 }  // namespace
 
 SmallMessageGroup::SmallMessageGroup(
-    Node& node, GroupId id, std::vector<NodeId> members,
+    Node& node, GroupId id, Membership members,
     const SmallGroupOptions& options,
     std::function<void(const std::byte*, std::size_t)> deliver,
     std::function<void(std::size_t)> sent, FailureCallback on_failure)

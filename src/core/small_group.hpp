@@ -45,7 +45,7 @@ struct SmallGroupOptions {
 class SmallMessageGroup final : public QpSink {
  public:
   SmallMessageGroup(
-      Node& node, GroupId id, std::vector<NodeId> members,
+      Node& node, GroupId id, Membership members,
       const SmallGroupOptions& options,
       std::function<void(const std::byte* data, std::size_t size)> deliver,
       std::function<void(std::size_t seq)> sent, FailureCallback on_failure);
@@ -57,7 +57,6 @@ class SmallMessageGroup final : public QpSink {
   GroupId id() const { return id_; }
   bool is_root() const { return rank_ == 0; }
   bool failed() const { return failed_; }
-  const std::vector<NodeId>& members() const { return members_; }
 
   /// Root only. False on overflow (any receiver's window full), failure,
   /// or size > slot_size. The buffer must remain valid until `sent(seq)`.
@@ -89,7 +88,7 @@ class SmallMessageGroup final : public QpSink {
 
   Node& node_;
   GroupId id_;
-  std::vector<NodeId> members_;
+  Membership members_;
   SmallGroupOptions options_;
   std::function<void(const std::byte*, std::size_t)> deliver_;
   std::function<void(std::size_t)> sent_;

@@ -20,7 +20,7 @@ struct ControlMsg {
 };
 }  // namespace
 
-AtomicGroup::AtomicGroup(Node& node, GroupId id, std::vector<NodeId> members,
+AtomicGroup::AtomicGroup(Node& node, GroupId id, Membership members,
                          AtomicGroupOptions options,
                          AtomicDeliveryCallback deliver,
                          WedgedCallback on_wedged)

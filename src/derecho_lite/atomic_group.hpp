@@ -61,7 +61,7 @@ struct AtomicGroupOptions {
 
 class AtomicGroup final : public QpSink {
  public:
-  AtomicGroup(Node& node, GroupId id, std::vector<NodeId> members,
+  AtomicGroup(Node& node, GroupId id, Membership members,
               AtomicGroupOptions options, AtomicDeliveryCallback deliver,
               WedgedCallback on_wedged = {});
   ~AtomicGroup() override;
@@ -100,7 +100,7 @@ class AtomicGroup final : public QpSink {
 
   Node& node_;
   GroupId id_;
-  std::vector<NodeId> members_;
+  Membership members_;
   AtomicGroupOptions options_;
   AtomicDeliveryCallback deliver_;
   WedgedCallback on_wedged_;

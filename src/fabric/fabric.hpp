@@ -43,6 +43,16 @@ using QpId = std::uint64_t;
 /// A view of registered memory. `data` may be null: a *phantom* buffer that
 /// moves simulated bytes without touching host memory, used for
 /// cluster-scale experiments where allocating 512 x 256 MB is infeasible.
+///
+/// Phantom contract. A phantom receive buffer discards what lands in it. A
+/// phantom *source* writes nothing into a real receive buffer on MemFabric
+/// and SimFabric: the buffer keeps whatever it held, and pages nobody wrote
+/// stay unresident. TcpFabric still has to put the bytes on the wire; it
+/// sends zeros, which land in the buffer. A phantom message therefore has
+/// no defined content at a real receiver. The group engine relies on the
+/// Mem/Sim rule: its first-block scratch is never initialised, and in an
+/// all-phantom simulation nothing ever writes it, so it costs address
+/// space only.
 struct MemoryView {
   std::byte* data = nullptr;
   std::size_t size = 0;

@@ -143,8 +143,15 @@ struct SimFabric::Connection {
   SimQueuePair* side_for(NodeId node) {
     return node == side_a.self_ ? &side_a : &side_b;
   }
+  /// The direction `node` sends on, allocated on first use.
   Direction& direction_from(NodeId node) {
-    return node == side_a.self_ ? a_to_b : b_to_a;
+    std::unique_ptr<Direction>& dir = node == side_a.self_ ? a_to_b : b_to_a;
+    if (!dir) dir = std::make_unique<Direction>();
+    return *dir;
+  }
+  /// The same direction, or null while nothing was ever posted on it.
+  Direction* find_direction(NodeId node) {
+    return (node == side_a.self_ ? a_to_b : b_to_a).get();
   }
 
   /// Start the next flow on `dir` if the head send is posted, a receive is
@@ -161,8 +168,11 @@ struct SimFabric::Connection {
   SimFabric& fabric;
   SimQueuePair side_a;
   SimQueuePair side_b;
-  Direction a_to_b;
-  Direction b_to_a;
+  /// Allocated on first post: an empty std::deque already holds a map and
+  /// a 512 B node, and many of the connections a group opens to neighbours
+  /// it might use carry nothing in one direction or in both.
+  std::unique_ptr<Direction> a_to_b;
+  std::unique_ptr<Direction> b_to_a;
   bool broken = false;
 };
 
@@ -345,8 +355,8 @@ void SimFabric::Connection::flush(sim::SimTime when_hint) {
     dir.recvs.clear();
     dir.ud_recvs.clear();
   };
-  flush_dir(a_to_b, side_a.self_);
-  flush_dir(b_to_a, side_b.self_);
+  if (a_to_b) flush_dir(*a_to_b, side_a.self_);
+  if (b_to_a) flush_dir(*b_to_a, side_b.self_);
   for (SimQueuePair* side : {&side_a, &side_b}) {
     if (side->closed_) continue;
     fabric.fault_counters_.disconnects_delivered++;
@@ -411,8 +421,10 @@ PostResult SimFabric::SimQueuePair::post_write_imm(std::uint32_t immediate,
 void SimFabric::SimQueuePair::close() {
   closed_ = true;
   mark_broken();
-  conn_.direction_from(peer_).recvs.clear();
-  conn_.direction_from(peer_).ud_recvs.clear();
+  if (Connection::Direction* incoming = conn_.find_direction(peer_)) {
+    incoming->recvs.clear();
+    incoming->ud_recvs.clear();
+  }
 }
 
 PostResult SimFabric::SimQueuePair::post_send_ud(MemoryView buf,
@@ -492,12 +504,13 @@ void SimFabric::Connection::deliver_ud(NodeId src,
                                        std::uint64_t span, sim::SimTime t) {
   SimQueuePair* sqp = side_for(src);
   SimQueuePair* rqp = side_for(sqp->peer());
-  auto& dir = direction_from(src);
+  Direction* dir = find_direction(src);
   bool delivered = false;
   if (!broken && !rqp->closed_ && !fabric.crashed_.contains(rqp->self_) &&
-      !dir.ud_recvs.empty() && dir.ud_recvs.front().buf.size >= bytes) {
-    PostedRecv recv = std::move(dir.ud_recvs.front());
-    dir.ud_recvs.pop_front();
+      dir != nullptr && !dir->ud_recvs.empty() &&
+      dir->ud_recvs.front().buf.size >= bytes) {
+    PostedRecv recv = std::move(dir->ud_recvs.front());
+    dir->ud_recvs.pop_front();
     if (!phantom && recv.buf.data && bytes > 0)
       std::memcpy(recv.buf.data, payload.data(), bytes);
     fabric.datagrams().count_delivered();

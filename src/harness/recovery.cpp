@@ -121,6 +121,7 @@ RecoveryResult RecoveryDriver::run() {
 
     // -- Create the group on every member (§4.6: the application layer
     // re-creates after each failure; ids are never recycled). ------------
+    const Membership members = e.members;  // one list shared by all members
     for (NodeId n : e.members) {
       Member& m = state[n];
       m.epoch_delivered = 0;
@@ -194,7 +195,7 @@ RecoveryResult RecoveryDriver::run() {
         e.failure_log.push_back({cluster_.sim().now(), m.node, suspect});
       };
       const bool created = cluster_.node(n).create_group(
-          e.gid, e.members, config_.group_options, incoming, completion,
+          e.gid, members, config_.group_options, incoming, completion,
           on_failure);
       if (!created) {
         note_violation(res,

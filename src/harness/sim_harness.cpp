@@ -30,17 +30,17 @@ SimCluster::SimCluster(const sim::ClusterProfile& profile,
 }
 
 SimCluster::GroupRecord& SimCluster::create_group(GroupId id,
-                                                  std::vector<NodeId> members,
+                                                  Membership members,
                                                   GroupOptions options) {
   auto rec = std::make_unique<GroupRecord>();
   rec->id = id;
-  rec->members = members;
-  rec->delivery_times.resize(members.size());
+  rec->members = std::move(members);
+  rec->delivery_times.resize(rec->members.size());
   GroupRecord* r = rec.get();
-  for (std::size_t m = 0; m < members.size(); ++m) {
-    const NodeId node = members[m];
+  for (std::size_t m = 0; m < r->members.size(); ++m) {
+    const NodeId node = r->members[m];
     const bool ok = nodes_[node]->create_group(
-        id, members, options,
+        id, r->members, options,
         // Phantom receive region: cluster-scale runs move no host memory.
         [](std::size_t size) { return fabric::MemoryView{nullptr, size}; },
         [this, r, m](std::byte*, std::size_t) {

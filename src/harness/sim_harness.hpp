@@ -85,7 +85,8 @@ class SimCluster {
   /// Per-(group, member) delivery bookkeeping.
   struct GroupRecord {
     GroupId id;
-    std::vector<NodeId> members;
+    /// The list every member's Group holds (one copy per group).
+    Membership members;
     /// delivery_times[i]: virtual times member i delivered each message
     /// (senders record local send completion instead).
     std::vector<std::vector<double>> delivery_times;
@@ -112,7 +113,7 @@ class SimCluster {
 
   /// Create `members.front()`-rooted group on every member with phantom
   /// receive buffers and delivery recording. Returns the record handle.
-  GroupRecord& create_group(GroupId id, std::vector<NodeId> members,
+  GroupRecord& create_group(GroupId id, Membership members,
                             GroupOptions options);
 
   /// Submit a send from the group's root without running the simulator:

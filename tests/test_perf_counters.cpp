@@ -15,6 +15,7 @@
 #include <cstdlib>
 
 #include "harness/sim_harness.hpp"
+#include "peak_rss.hpp"
 #include "sim/cluster_profiles.hpp"
 
 namespace rdmc::harness {
@@ -65,13 +66,25 @@ TEST(PerfCounters, Fig8Deterministic) {
 TEST(PerfCounters, Fig8At4096WorkCountersUnderCeilings) {
   if (std::getenv("RDMC_BIG_SMOKE") == nullptr)
     GTEST_SKIP() << "set RDMC_BIG_SMOKE=1 to run the 4096-node smoke";
+  constexpr std::size_t kNodes = 4096;
+  const std::size_t rss_before = tests::peak_rss_bytes();
   MulticastConfig cfg;
-  cfg.profile = sim::sierra_profile(4096);
-  cfg.group_size = 4096;
+  cfg.profile = sim::sierra_profile(kNodes);
+  cfg.group_size = kNodes;
   cfg.message_bytes = 32ull << 20;
   cfg.block_size = 1 << 20;
   const auto result = run_multicast(cfg);
   const PerfStats& p = result.perf;
+  // Memory per node, as in test_rss_per_node: measured at 36 KB per node
+  // here; the bound leaves 2x. A zero-filled first-block scratch costs
+  // 1024 KB per node. The earlier tests in this process peak far lower, so
+  // the growth is this run's.
+  const std::size_t rss_per_node =
+      (tests::peak_rss_bytes() - rss_before) / kNodes;
+  if (tests::kRssIsProgramMemory) {
+    EXPECT_LE(rss_per_node, std::size_t{64} << 10)
+        << "peak RSS grew " << rss_per_node << " bytes per node";
+  }
   EXPECT_LE(p.filling_rounds, 25000000u);
   EXPECT_LE(p.reallocations, 520000u);
   EXPECT_LE(p.full_recomputes, 100u);
